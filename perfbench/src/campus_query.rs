@@ -3,18 +3,18 @@
 //! `MapService::recover` from a checkpoint plus a short WAL tail that
 //! is prepared untimed; that restore is the workload's set-up.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use omu_datasets::DatasetKind;
-use omu_geometry::{Point3, Scan};
+use omu_geometry::{KeyConverter, Scan};
 use omu_map::{ChangeSubscription, DurabilityPolicy, MapBuilder, MapError, MapService};
 use omu_octree::OctreeF32;
 
-use crate::harness::{millis, secs, Checks, Ctx, Layers, Live, Round, Workload};
-use crate::inputs::{self, QueryShape, QueryTemplate, RESOLUTION};
-use crate::layers::{self, wal_bytes_on_disk, ReplaySpec};
-use crate::planner::{self, Request};
+use crate::harness::{millis, secs, Checks, Ctx, Layers, Live, Round, RssMark, Workload};
+use crate::inputs::{self, Pose, QueryShape, RESOLUTION};
+use crate::layers::{self, leaf_digest, wal_bytes_on_disk, ReplaySpec};
+use crate::planner::{self, Answers, Request, NODE_VISITS};
 use crate::trace::{traced, Tracer};
 
 const KIND: DatasetKind = DatasetKind::FreiburgCampus;
@@ -24,44 +24,56 @@ const POSES: usize = 81;
 const BASE: usize = 8;
 /// Scans left in the WAL tail that recovery replays.
 const TAIL: usize = 1;
-/// Planner requests per statistics window. Every request of a run has
-/// its own template, so windows are independent draws and their median
-/// tail does not hinge on a few costly templates.
+/// Planner requests per statistics window, and poses the planner walks
+/// along the campus loop (request `i` stands at pose `i % WINDOW`).
+/// Every request has its own template, so windows are independent
+/// draws and their median tail does not hinge on a few costly ones.
 const WINDOW: usize = 250;
-/// Planner requests per round (twelve windows); each round starts with a
+/// Planner requests per round (four windows); each round starts with a
 /// recovery.
-const REQUESTS: u64 = 12 * WINDOW as u64;
-/// Every this many requests, the answers are checked against the
-/// directly built tree.
+const REQUESTS: u64 = 4 * WINDOW as u64;
+/// Every this many requests, one is a check request.
 const CHECK_EVERY: u64 = 16;
-
-const SHAPE: QueryShape = QueryShape {
-    keys: 512,
-    key_radius: 40,
-    rays: 32,
-    ray_range: 15.0,
-    sphere_radius: 1.0,
-    sphere_reach: 6.0,
-};
+/// Distinct check requests, answered by the directly built tree while
+/// the inputs are prepared.
+const CHECKS: usize = 64;
 
 pub struct CampusQuery {
-    scans: Vec<Scan>,
-    poses: Vec<Point3>,
-    /// Directly built tree over the same scans: the answer reference.
-    reference: OctreeF32,
+    seed: u64,
+    shape: QueryShape,
+    poses: Vec<Pose>,
+    /// Answers of the directly built `OctreeF32` to each check request.
+    expected: Vec<Answers>,
+    /// Digest of that tree's canonical leaves.
+    reference_digest: u64,
     /// Checkpoint plus WAL tail, written once; each recovery starts from
     /// a copy.
-    prepared: std::path::PathBuf,
+    prepared: PathBuf,
 }
 
 fn builder() -> MapBuilder {
     MapBuilder::new(RESOLUTION).max_range(Some(inputs::max_range(KIND)))
 }
 
+fn scans(seed: u64) -> Vec<Scan> {
+    let stride = POSES / (BASE + TAIL);
+    inputs::scans(KIND, seed, POSES, (0..BASE + TAIL).map(|i| i * stride))
+}
+
+/// Pose index, template index and, for a check request, check slot of
+/// request `id`.
+fn spec(id: u64) -> (usize, u64, Option<usize>) {
+    if id.is_multiple_of(CHECK_EVERY) {
+        let slot = (id / CHECK_EVERY) as usize % CHECKS;
+        (slot * WINDOW / CHECKS, u64::MAX - slot as u64, Some(slot))
+    } else {
+        (id as usize % WINDOW, id, None)
+    }
+}
+
 impl CampusQuery {
     pub fn new(ctx: &Ctx) -> Self {
-        let stride = POSES / (BASE + TAIL);
-        let scans = inputs::scans(KIND, ctx.seed, POSES, (0..BASE + TAIL).map(|i| i * stride));
+        let scans = scans(ctx.seed);
         let prepared = ctx.fresh_dir("campus-prepared");
         let service = MapService::spawn(builder().durability(&prepared, DurabilityPolicy::Manual))
             .expect("a durable service spawns in an empty scratch directory");
@@ -80,22 +92,29 @@ impl CampusQuery {
         ingest(&scans[BASE..]);
         service.shutdown().expect("the writer shuts down cleanly");
 
-        let mut reference = OctreeF32::new(RESOLUTION).expect("0.2 m is a valid resolution");
-        reference.set_max_range(Some(inputs::max_range(KIND)));
-        for scan in &scans {
-            reference
-                .insert_scan_batched(scan)
-                .expect("campus scan origins lie inside the map");
-        }
-        // A window's requests each stand at their own pose along the
-        // whole loop, so no single costly spot sets the tail.
-        let poses = inputs::origins(KIND, WINDOW);
-        CampusQuery {
-            scans,
-            poses,
-            reference,
+        let mut bench = CampusQuery {
+            seed: ctx.seed,
+            shape: QueryShape::of(KIND),
+            poses: inputs::poses(KIND, WINDOW),
+            expected: Vec::new(),
+            reference_digest: 0,
             prepared,
-        }
+        };
+        // The reference is dropped before anything is timed, so it does
+        // not add to the measured memory.
+        let reference = reference_tree(&scans);
+        let conv = KeyConverter::new(RESOLUTION).expect("0.2 m is a valid resolution");
+        bench.expected = (0..CHECKS as u64)
+            .map(|slot| {
+                let request = bench
+                    .request(&conv, slot * CHECK_EVERY)
+                    .expect("campus poses lie inside the map");
+                planner::reference(&reference, &bench.shape, &request)
+                    .expect("campus poses lie inside the map")
+            })
+            .collect();
+        bench.reference_digest = leaf_digest(&reference.snapshot());
+        bench
     }
 
     fn copy_prepared(&self, to: &Path) {
@@ -107,24 +126,40 @@ impl CampusQuery {
     }
 
     /// Request `id` of the run: the planner walks the campus loop, one
-    /// pose per request.
-    fn request(
+    /// pose per request, heading for the next.
+    fn request(&self, conv: &KeyConverter, id: u64) -> Result<Request, MapError> {
+        let (pose, template, _) = spec(id);
+        let next = self.poses[(pose + 1) % WINDOW].0;
+        let template = inputs::query_template(&self.shape, self.seed, template);
+        Request::at(conv, &self.shape, self.poses[pose], next, &template)
+    }
+
+    fn serve(
         &self,
         service: &MapService,
         sub: &mut ChangeSubscription,
         id: u64,
-        template: &QueryTemplate,
         tracer: Option<&Tracer>,
-    ) -> Result<(Request, planner::Answers), MapError> {
-        let origin = self.poses[id as usize % WINDOW];
+    ) -> Result<Answers, MapError> {
         traced(tracer, "request", id, None, |p| {
             let snapshot = traced(tracer, "map.snapshot", id, p, |_| service.snapshot());
-            let request = Request::at(snapshot.converter(), origin, template)?;
-            let answers = planner::serve(&snapshot, &SHAPE, &request, tracer, id, p)?;
+            let request = self.request(snapshot.converter(), id)?;
+            let answers = planner::serve(&snapshot, &self.shape, &request, tracer, id, p)?;
             traced(tracer, "map.poll", id, p, |_| sub.poll())?;
-            Ok((request, answers))
+            Ok(answers)
         })
     }
+}
+
+/// The campus map built directly, without the service.
+fn reference_tree(scans: &[Scan]) -> OctreeF32 {
+    let mut tree = OctreeF32::new(RESOLUTION).expect("0.2 m is a valid resolution");
+    tree.set_max_range(Some(inputs::max_range(KIND)));
+    for scan in scans {
+        tree.insert_scan_batched(scan)
+            .expect("campus scan origins lie inside the map");
+    }
+    tree
 }
 
 impl Workload for CampusQuery {
@@ -134,18 +169,14 @@ impl Workload for CampusQuery {
             ..Live::default()
         };
         let mut checks = Checks::default();
-        let mut recovered = None;
         let mut replayed = 0;
         let mut start = Instant::now();
+        let mut rss = None;
         // Round 0 warms the process up after the input preparation (its
-        // requests run ~20 % slower) and is not counted; the clock starts
-        // after it.
+        // requests run ~20 % slower) and is not counted; the clock and
+        // the memory mark start after it.
         let mut round = 0u64;
-        let mut next = 0u64;
-        let mut template = || {
-            next += 1;
-            (next, inputs::query_template(&SHAPE, ctx.seed, next))
-        };
+        let mut id = 0u64;
         while live.rounds.is_empty() || secs(start) < ctx.seconds {
             let warmup = round == 0;
             let tracer = if warmup { None } else { tracer };
@@ -159,43 +190,49 @@ impl Workload for CampusQuery {
                 break;
             };
             let mut sub = service.subscribe();
-            let (id, first) = template();
-            let first = self.request(&service, &mut sub, id, &first, None);
+            let first = self.serve(&service, &mut sub, id, None);
             r.setup_s = secs(setup);
             checks.op("first planner request", first);
             replayed = report.replayed_batches;
 
             for _ in 0..REQUESTS {
-                let (id, template) = template();
+                id += 1;
                 let t = Instant::now();
-                let served = self.request(&service, &mut sub, id, &template, tracer);
+                let served = self.serve(&service, &mut sub, id, tracer);
                 r.latencies_ms.push(millis(t));
-                if let Some((request, answers)) = checks.op("planner request", served) {
-                    if id.is_multiple_of(CHECK_EVERY) {
-                        let expected = planner::reference(&self.reference, &SHAPE, &request);
+                if let Some(answers) = checks.op("planner request", served) {
+                    if let (_, _, Some(slot)) = spec(id) {
                         checks.check(
                             "served answers == directly built OctreeF32",
-                            expected.ok() == Some(answers),
+                            answers == self.expected[slot],
                         );
                     }
                 }
             }
-            recovered = Some(service.snapshot());
+            id += 1;
+            if warmup {
+                checks.check(
+                    "recovered map == directly built OctreeF32",
+                    leaf_digest(&service.snapshot().canonical_leaves()) == self.reference_digest,
+                );
+            } else if tracer.is_some() && !live.layers.contains_key(NODE_VISITS) {
+                let snapshot = service.snapshot();
+                let requests: Vec<Request> = (0..WINDOW as u64)
+                    .filter_map(|i| self.request(snapshot.converter(), i).ok())
+                    .collect();
+                planner::read_path_layers(&snapshot, &self.shape, &requests, &mut live.layers);
+            }
             checks.op("MapService::shutdown", service.shutdown());
             let _ = std::fs::remove_dir_all(&dir);
             if warmup {
+                rss = Some(RssMark::start());
                 start = Instant::now();
             } else {
                 live.rounds.push(r);
             }
             round += 1;
         }
-        if let Some(snapshot) = &recovered {
-            checks.check(
-                "recovered map == directly built OctreeF32",
-                layers::same_leaves(&snapshot.canonical_leaves(), &self.reference.snapshot()),
-            );
-        }
+        live.peak_rss_mb = rss.map_or(0.0, |m| m.peak_mb());
 
         let s = live.summary();
         live.name_timing("query_us", &s, "us", 1e3);
@@ -212,16 +249,6 @@ impl Workload for CampusQuery {
             let wal = wal_bytes_on_disk(&self.prepared) as f64;
             live.layers
                 .insert("durable.wal_bytes_per_scan", wal / TAIL as f64);
-            if let Some(snapshot) = &recovered {
-                let templates = inputs::query_templates(&SHAPE, ctx.seed, WINDOW);
-                let poses = self.poses.iter().copied();
-                planner::read_path_layers(
-                    snapshot,
-                    &SHAPE,
-                    poses.zip(&templates),
-                    &mut live.layers,
-                );
-            }
         }
         live.checks = checks;
         live
@@ -232,15 +259,16 @@ impl Workload for CampusQuery {
             .get("durable.wal_bytes_per_scan")
             .copied()
             .unwrap_or(0.0);
+        let scans = scans(self.seed);
         let spec = ReplaySpec {
-            scans: &self.scans,
+            scans: &scans,
             max_range: inputs::max_range(KIND),
             record_bytes: Some(record.round().max(1.0) as usize),
         };
         let tree = layers::replay(ctx, &spec, tracer, layers, checks);
         checks.check(
             "replayed tree == directly built OctreeF32",
-            layers::same_leaves(&tree.snapshot(), &self.reference.snapshot()),
+            leaf_digest(&tree.snapshot()) == self.reference_digest,
         );
     }
 }

@@ -13,12 +13,12 @@ use std::time::Instant;
 
 use omu_core::{AccelStats, OmuConfig};
 use omu_datasets::DatasetKind;
-use omu_geometry::{Scan, VoxelKey};
+use omu_geometry::Scan;
 use omu_map::{Backend, MapBuilder, OccupancyMap};
 
-use crate::harness::{millis, secs, Checks, Ctx, Layers, Live, Round, Workload};
+use crate::harness::{millis, secs, Checks, Ctx, Layers, Live, Round, RssMark, Workload};
 use crate::inputs::{self, RESOLUTION};
-use crate::layers::{self, same_leaves, ReplaySpec};
+use crate::layers::{self, leaf_digest, ReplaySpec};
 use crate::trace::{traced, Tracer};
 
 const KIND: DatasetKind = DatasetKind::Fr079Corridor;
@@ -26,14 +26,17 @@ const KIND: DatasetKind = DatasetKind::Fr079Corridor;
 const FRAMES: [usize; 2] = [0, 8];
 const POSES: usize = 17;
 /// Slices each frame is delivered in.
-const SLICES: usize = 32;
+const SLICES: usize = 128;
+/// Slices per statistics window: a round's requests (all slices but the
+/// first, which belongs to set-up) in three windows.
+const WINDOW: usize = (FRAMES.len() * SLICES - 1) / 3;
+/// Set-ups measured after the timed run, besides one per round.
+const EXTRA_SETUPS: usize = 24;
 /// The paper's OMU throughput on FR-079 corridor (Table IV).
 const PAPER_FPS: f64 = 63.66;
 
 pub struct CorridorAccel {
     frames: Vec<Scan>,
-    /// Canonical leaves of the fixed-point software replay.
-    reference: Vec<(VoxelKey, u8, f32)>,
 }
 
 fn builder(backend: Backend) -> MapBuilder {
@@ -50,20 +53,23 @@ fn slices(frame: &Scan) -> impl Iterator<Item = &[omu_geometry::Point3]> {
 
 impl CorridorAccel {
     pub fn new(seed: u64) -> Self {
-        let frames = inputs::scans(KIND, seed, POSES, FRAMES.into_iter());
+        CorridorAccel {
+            frames: inputs::scans(KIND, seed, POSES, FRAMES.into_iter()),
+        }
+    }
+
+    /// Leaf digest of the fixed-point software replay of the same slices.
+    fn reference_digest(&self) -> u64 {
         let mut map = builder(Backend::SoftwareFixed)
             .build()
             .expect("the default map configuration is valid");
-        for frame in &frames {
+        for frame in &self.frames {
             for slice in slices(frame) {
                 map.insert_points(frame.origin, slice)
                     .expect("corridor origins lie inside the map");
             }
         }
-        CorridorAccel {
-            reference: map.snapshot(),
-            frames,
-        }
+        leaf_digest(&map.snapshot())
     }
 }
 
@@ -105,8 +111,13 @@ impl Simulated {
 
 impl Workload for CorridorAccel {
     fn live(&self, ctx: &Ctx, tracer: Option<&Tracer>) -> Live {
-        let mut live = Live::default();
+        let mut live = Live {
+            window: Some(WINDOW),
+            ..Live::default()
+        };
         let mut checks = Checks::default();
+        let mut digests = Vec::new();
+        let rss = RssMark::start();
         let start = Instant::now();
         let mut sims: Vec<Simulated> = Vec::new();
         let mut updates = 0u64;
@@ -140,10 +151,7 @@ impl Workload for CorridorAccel {
                     }
                 }
             }
-            checks.check(
-                "accelerator map == SoftwareFixed replay, bit for bit",
-                same_leaves(&map.snapshot(), &self.reference),
-            );
+            digests.push(leaf_digest(&map.snapshot()));
             if let Some(sim) = Simulated::of(&map) {
                 if let Some(previous) = sims.first() {
                     checks.check("simulated statistics repeat exactly", *previous == sim);
@@ -151,6 +159,24 @@ impl Workload for CorridorAccel {
                 sims.push(sim);
             }
             live.rounds.push(r);
+        }
+        live.peak_rss_mb = rss.peak_mb();
+        let (origin, first) = (self.frames[0].origin, slices(&self.frames[0]).next());
+        for _ in 0..EXTRA_SETUPS {
+            let setup = Instant::now();
+            let built = builder(Backend::Accelerator(OmuConfig::default())).build();
+            if let Some(mut map) = checks.op("MapBuilder::build (accelerator)", built) {
+                let inserted = map.insert_points(origin, first.unwrap_or_default());
+                checks.op("OccupancyMap::insert_points (accelerator)", inserted);
+                live.extra_setups_s.push(secs(setup));
+            }
+        }
+        let reference = self.reference_digest();
+        for digest in digests {
+            checks.check(
+                "accelerator map == SoftwareFixed replay, bit for bit",
+                digest == reference,
+            );
         }
 
         let rounds = live.rounds.len() as f64;

@@ -5,24 +5,24 @@
 use std::time::Instant;
 
 use omu_datasets::DatasetKind;
-use omu_geometry::{Scan, VoxelKey};
+use omu_geometry::Scan;
 use omu_map::{MapBuilder, MapService};
 
 use crate::harness::{
-    ack, millis, scans_per_publish, secs, Checks, Ctx, Layers, Live, Round, Workload,
+    ack, millis, scans_per_publish, secs, Checks, Ctx, Layers, Live, Round, RssMark, Workload,
 };
 use crate::inputs::{self, RESOLUTION};
-use crate::layers::{self, same_leaves, ReplaySpec};
+use crate::layers::{self, leaf_digest, ReplaySpec};
 use crate::trace::Tracer;
 
 /// Scans per round: the whole FR-079 corridor run (Table II).
 const SCANS: usize = 66;
 const KIND: DatasetKind = DatasetKind::Fr079Corridor;
+/// Set-ups measured after the timed run, besides one per round.
+const EXTRA_SETUPS: usize = 8;
 
 pub struct CorridorIngest {
     scans: Vec<Scan>,
-    /// Canonical leaves of an untimed serial replay of one round.
-    reference: Vec<(VoxelKey, u8, f32)>,
 }
 
 fn builder() -> MapBuilder {
@@ -31,18 +31,33 @@ fn builder() -> MapBuilder {
 
 impl CorridorIngest {
     pub fn new(seed: u64) -> Self {
-        let scans = inputs::scans(KIND, seed, SCANS, 0..SCANS);
+        CorridorIngest {
+            scans: inputs::scans(KIND, seed, SCANS, 0..SCANS),
+        }
+    }
+
+    /// A fresh service and its first acknowledged scan; returns the
+    /// service and the time that took.
+    fn set_up(&self, checks: &mut Checks) -> Option<(MapService, f64)> {
+        let first = self.scans[0].clone();
+        let setup = Instant::now();
+        let service = checks.op("MapService::spawn", MapService::spawn(builder()))?;
+        let acked = service.ingest(first).and_then(|()| service.flush());
+        checks.op("first ingest + flush", acked);
+        Some((service, secs(setup)))
+    }
+
+    /// Leaf digest of an untimed serial `OccupancyMap` replay of one
+    /// round.
+    fn reference_digest(&self) -> u64 {
         let mut map = builder()
             .build()
             .expect("the default map configuration is valid");
-        for scan in &scans {
+        for scan in &self.scans {
             map.insert(scan)
                 .expect("corridor scan origins lie inside the map");
         }
-        CorridorIngest {
-            reference: map.snapshot(),
-            scans,
-        }
+        leaf_digest(&map.snapshot())
     }
 }
 
@@ -50,20 +65,18 @@ impl Workload for CorridorIngest {
     fn live(&self, ctx: &Ctx, tracer: Option<&Tracer>) -> Live {
         let mut live = Live::default();
         let mut checks = Checks::default();
-        let start = Instant::now();
         let mut service_stats = None;
+        let mut digests = Vec::new();
+        let rss = RssMark::start();
+        let start = Instant::now();
         // Rounds of the whole dataset, each into a fresh service.
         while live.rounds.is_empty() || secs(start) < ctx.seconds {
             let round = live.rounds.len() as u64;
             let mut r = Round::default();
-            let first = self.scans[0].clone();
-            let setup = Instant::now();
-            let Some(service) = checks.op("MapService::spawn", MapService::spawn(builder())) else {
+            let Some((service, setup_s)) = self.set_up(&mut checks) else {
                 break;
             };
-            let acked = service.ingest(first).and_then(|()| service.flush());
-            checks.op("first ingest + flush", acked);
-            r.setup_s = secs(setup);
+            r.setup_s = setup_s;
 
             let mut last = None;
             for (i, scan) in self.scans.iter().enumerate().skip(1) {
@@ -75,14 +88,25 @@ impl Workload for CorridorIngest {
                 last = checks.op("ingest + flush", acked).or(last);
             }
             if let Some(snapshot) = last {
-                checks.check(
-                    "final snapshot == serial OccupancyMap replay",
-                    same_leaves(&snapshot.canonical_leaves(), &self.reference),
-                );
+                digests.push(leaf_digest(&snapshot.canonical_leaves()));
             }
             service_stats = Some(service.service_stats());
             checks.op("MapService::shutdown", service.shutdown());
             live.rounds.push(r);
+        }
+        live.peak_rss_mb = rss.peak_mb();
+        for _ in 0..EXTRA_SETUPS {
+            if let Some((service, setup_s)) = self.set_up(&mut checks) {
+                live.extra_setups_s.push(setup_s);
+                checks.op("MapService::shutdown", service.shutdown());
+            }
+        }
+        let reference = self.reference_digest();
+        for digest in digests {
+            checks.check(
+                "final snapshot == serial OccupancyMap replay",
+                digest == reference,
+            );
         }
 
         if let Some(s) = service_stats {

@@ -163,6 +163,12 @@ pub struct Live {
     pub named: Vec<Named>,
     /// Per-layer values measured during this run.
     pub layers: Layers,
+    /// Peak resident memory the timed run added ([`RssMark`]), in MB.
+    pub peak_rss_mb: f64,
+    /// Set-up times measured outside the rounds (after the timed run),
+    /// so that `setup_s` is a median of many set-ups even when a run
+    /// holds few rounds.
+    pub extra_setups_s: Vec<f64>,
 }
 
 impl Live {
@@ -179,7 +185,13 @@ impl Live {
     }
 
     pub fn setup_s(&self) -> f64 {
-        stats::median(&self.rounds.iter().map(|r| r.setup_s).collect::<Vec<_>>()).unwrap_or(0.0)
+        stats::median(&self.setups()).unwrap_or(0.0)
+    }
+
+    /// Every set-up time of the run: one per round, then the extra ones.
+    pub fn setups(&self) -> Vec<f64> {
+        let rounds = self.rounds.iter().map(|r| r.setup_s);
+        rounds.chain(self.extra_setups_s.iter().copied()).collect()
     }
 
     pub fn name(&mut self, name: &str, value: f64, unit: &'static str, note: impl Into<String>) {
@@ -245,14 +257,60 @@ pub fn millis(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// Peak resident set size of this process (`VmHWM`), in MB.
-pub fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+/// A field of `/proc/self/status` given in kB, in MB.
+fn status_mb(field: &str) -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status
         .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .find_map(|l| l.strip_prefix(field))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .map_or(0.0, |kb| kb / 1024.0)
+        .map(|kb| kb / 1024.0)
+}
+
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_free_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: glibc's malloc_trim takes no pointers and only returns
+    // free heap pages to the kernel; it is safe to call at any time.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_heap() {}
+
+/// The memory a timed run adds on top of what was resident when it
+/// began: the prepared inputs stay out of the figure, and so does every
+/// reference a workload builds for its checks (those are built before
+/// the mark with their memory returned, or after the peak is read).
+#[derive(Debug, Clone, Copy)]
+pub struct RssMark {
+    base_mb: f64,
+}
+
+impl RssMark {
+    /// Returns freed heap to the kernel, resets the process's
+    /// high-water mark (`VmHWM`) to the current resident set, and
+    /// remembers that resident set.
+    pub fn start() -> Self {
+        release_free_heap();
+        // "5" resets the peak resident set size (Linux 4.0+).
+        if std::fs::write("/proc/self/clear_refs", "5").is_err() {
+            eprintln!("warning: could not reset VmHWM; peak_rss_mb includes the preparation");
+        }
+        RssMark {
+            base_mb: status_mb("VmRSS:").unwrap_or(0.0),
+        }
+    }
+
+    /// Peak resident set since [`RssMark::start`], minus the resident
+    /// set at that moment, in MB.
+    pub fn peak_mb(&self) -> f64 {
+        status_mb("VmHWM:").map_or(0.0, |hwm| hwm - self.base_mb)
+    }
 }
 
 #[cfg(test)]

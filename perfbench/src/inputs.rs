@@ -38,14 +38,12 @@ pub fn scans(
     .collect()
 }
 
-/// Origins of `poses` trajectory poses spread over the whole run.
-pub fn origins(kind: DatasetKind, poses: usize) -> Vec<Point3> {
-    dataset(kind)
-        .trajectory()
-        .poses(poses)
-        .into_iter()
-        .map(|(o, _)| o)
-        .collect()
+/// A trajectory pose: sensor origin and heading (yaw, radians).
+pub type Pose = (Point3, f64);
+
+/// `poses` trajectory poses spread over the whole run.
+pub fn poses(kind: DatasetKind, poses: usize) -> Vec<Pose> {
+    dataset(kind).trajectory().poses(poses)
 }
 
 fn dataset(kind: DatasetKind) -> Dataset {
@@ -59,74 +57,82 @@ pub fn max_range(kind: DatasetKind) -> f64 {
     kind.spec().max_range
 }
 
-/// One planner request's shape, relative to the pose it is issued at:
-/// voxel probes in a cube around the pose, a fan of query rays, and one
-/// sphere collision probe.
-#[derive(Debug, Clone)]
-pub struct QueryTemplate {
-    /// Voxel-key offsets (in voxels) around the pose key.
-    pub key_offsets: Vec<[i32; 3]>,
-    /// Unit directions of the ray fan.
-    pub ray_dirs: Vec<Point3>,
-    /// Offset of the collision-probe centre from the pose, in metres.
-    pub sphere_offset: Point3,
-}
+/// Radius of the robot a planner checks: the 0.3 m the repository's
+/// planner-style examples probe with (`examples/collision_detection.rs`,
+/// `examples/service.rs`).
+pub const ROBOT_RADIUS: f64 = 0.3;
 
-/// Planner request parameters of one workload.
+/// The size of a planner request on one dataset. Nothing in it is
+/// free: it follows from the dataset's mapping range, its sensor's field
+/// of view and the robot radius.
+///
+/// - Probe grid: a square of voxel keys at the pose's height, out to the
+///   mapping range on every side, one key per robot diameter — the cells
+///   of a local planner's costmap at robot resolution.
+/// - Ray fan: horizontal rays over the sensor's azimuth field of view,
+///   as long as the mapping range, spaced so that at that range adjacent
+///   rays end at most one robot diameter apart (nothing robot-sized fits
+///   between them).
+/// - Collision probe: one sphere of the robot radius at the robot's next
+///   trajectory pose.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryShape {
+    /// Mapping range (OctoMap `maxrange`), in metres.
+    pub range: f64,
+    /// Azimuth field of view of the dataset's sensor, in radians.
+    pub azimuth_fov: f64,
+}
+
+impl QueryShape {
+    pub fn of(kind: DatasetKind) -> Self {
+        QueryShape {
+            range: max_range(kind),
+            azimuth_fov: dataset(kind).scanner().pattern().azimuth_fov,
+        }
+    }
+
+    /// Probe-grid pitch in voxels: one robot diameter.
+    pub fn cell(&self) -> i32 {
+        (2.0 * ROBOT_RADIUS / RESOLUTION).round() as i32
+    }
+
+    /// Probe-grid half-width in cells: out to the mapping range.
+    pub fn half_cells(&self) -> i32 {
+        // The epsilon keeps 4.6 m / 0.2 m at 23 voxels, not 22.999….
+        (self.range / RESOLUTION + 1e-9) as i32 / self.cell()
+    }
+
     /// Probe keys per request.
-    pub keys: usize,
-    /// Half-width of the probe cube, in voxels.
-    pub key_radius: i32,
+    pub fn keys(&self) -> usize {
+        let side = 2 * self.half_cells() as usize + 1;
+        side * side
+    }
+
     /// Rays per fan.
-    pub rays: usize,
-    /// Ray length, in metres.
-    pub ray_range: f64,
-    /// Collision-probe radius, in metres.
-    pub sphere_radius: f64,
-    /// Largest collision-probe offset from the pose, in metres.
-    pub sphere_reach: f64,
+    pub fn rays(&self) -> usize {
+        (self.azimuth_fov * self.range / (2.0 * ROBOT_RADIUS)).ceil() as usize
+    }
+}
+
+/// The seeded part of one planner request: where, within one grid cell
+/// and one ray spacing, its probe grid and ray fan sit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueryTemplate {
+    /// Offset of the probe grid from the pose key, in voxels (x, y).
+    pub grid_offset: [i32; 2],
+    /// Rotation of the ray fan, in radians.
+    pub fan_offset: f64,
 }
 
 /// Request template `index` of `seed` (each from its own RNG stream).
 pub fn query_template(shape: &QueryShape, seed: u64, index: u64) -> QueryTemplate {
     let mut rng = rng(seed, 1 << 63 | index);
-    let r = shape.key_radius;
+    let cell = shape.cell();
+    let spacing = shape.azimuth_fov / shape.rays() as f64;
     QueryTemplate {
-        key_offsets: (0..shape.keys)
-            .map(|_| {
-                [
-                    rng.random_range(-r..=r),
-                    rng.random_range(-r..=r),
-                    rng.random_range(-r / 2..=r / 2),
-                ]
-            })
-            .collect(),
-        ray_dirs: (0..shape.rays)
-            .map(|_| {
-                let yaw = rng.random_range(-std::f64::consts::PI..std::f64::consts::PI);
-                let pitch: f64 = rng.random_range(-0.3..0.3);
-                let flat = pitch.cos();
-                Point3::new(flat * yaw.cos(), flat * yaw.sin(), pitch.sin())
-            })
-            .collect(),
-        sphere_offset: {
-            let reach = shape.sphere_reach;
-            Point3::new(
-                rng.random_range(-reach..reach),
-                rng.random_range(-reach..reach),
-                rng.random_range(-reach / 4.0..reach / 4.0),
-            )
-        },
+        grid_offset: [rng.random_range(0..cell), rng.random_range(0..cell)],
+        fan_offset: rng.random_range(-spacing / 2.0..spacing / 2.0),
     }
-}
-
-/// Templates `0..count` of `seed`.
-pub fn query_templates(shape: &QueryShape, seed: u64, count: usize) -> Vec<QueryTemplate> {
-    (0..count as u64)
-        .map(|i| query_template(shape, seed, i))
-        .collect()
 }
 
 #[cfg(test)]
@@ -144,19 +150,22 @@ mod tests {
 
     #[test]
     fn templates_follow_the_seed() {
-        let shape = QueryShape {
-            keys: 4,
-            key_radius: 3,
-            rays: 2,
-            ray_range: 1.0,
-            sphere_radius: 0.5,
-            sphere_reach: 1.0,
-        };
-        let a = query_templates(&shape, 1, 2);
-        let b = query_templates(&shape, 1, 2);
-        assert_eq!(a[1].key_offsets, b[1].key_offsets);
-        assert_eq!(a[0].key_offsets.len(), 4);
-        assert_eq!(a[0].ray_dirs.len(), 2);
-        assert!((a[0].ray_dirs[0].norm() - 1.0).abs() < 1e-9);
+        let shape = QueryShape::of(DatasetKind::NewCollege);
+        assert_eq!(query_template(&shape, 1, 5), query_template(&shape, 1, 5));
+        assert_ne!(query_template(&shape, 1, 5), query_template(&shape, 2, 5));
+    }
+
+    #[test]
+    fn request_sizes_follow_the_dataset() {
+        // New College: 4.6 m range, 90° sensor; 0.2 m voxels, 0.6 m robot.
+        let college = QueryShape::of(DatasetKind::NewCollege);
+        assert_eq!(college.cell(), 3);
+        assert_eq!(college.half_cells(), 7, "23 voxels of range / 3");
+        assert_eq!(college.keys(), 15 * 15);
+        assert_eq!(college.rays(), 13, "(pi/2 * 4.6 m) / 0.6 m, rounded up");
+        // Freiburg campus: 15.5 m range, full-turn sensor.
+        let campus = QueryShape::of(DatasetKind::FreiburgCampus);
+        assert_eq!(campus.keys(), 51 * 51);
+        assert_eq!(campus.rays(), 163, "(2 pi * 15.5 m) / 0.6 m, rounded up");
     }
 }

@@ -1,14 +1,16 @@
 //! The decomposed single-thread replay behind the per-layer numbers, and
-//! the storage wrapper that counts what the durability layer writes.
+//! the store the benchmark's durable services write through.
 //!
 //! The service's writer thread is opaque from outside, so the traced run
 //! replays the workload's scans once more, calling each layer's public
-//! functions in turn — `OccupancyMap::insert` (the fused path), then
+//! functions in turn — `OccupancyMap::insert` (the fused path, with the
+//! service's change detection) and `drain_changed_keys`, then
 //! `ScanIntegrator::integrate_into`, `OctreeF32::apply_update_batch`,
 //! `publish_snapshot` and a `DurableFile` append + sync per scan, and
 //! finally `to_bytes` / `from_bytes` — each inside its own span.
 
 use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -29,6 +31,27 @@ pub fn same_leaves(a: &[(VoxelKey, u8, f32)], b: &[(VoxelKey, u8, f32)]) -> bool
             .all(|(x, y)| x.0 == y.0 && x.1 == y.1 && x.2.to_bits() == y.2.to_bits())
 }
 
+/// FNV-1a over a canonical leaf list (keys, depths and value bits), so a
+/// reference map can be checked against without being kept in memory.
+pub fn leaf_digest(leaves: &[(VoxelKey, u8, f32)]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (k, depth, value) in leaves {
+        let words = [
+            k.x.into(),
+            k.y.into(),
+            k.z.into(),
+            (*depth).into(),
+            value.to_bits(),
+        ];
+        for w in words {
+            for b in u32::to_le_bytes(w) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
 /// What the replay needs to know about a workload.
 #[derive(Debug)]
 pub struct ReplaySpec<'a> {
@@ -47,13 +70,20 @@ pub fn replay(
     layers: &mut Layers,
     checks: &mut Checks,
 ) -> OctreeF32 {
-    let builder = MapBuilder::new(RESOLUTION).max_range(Some(spec.max_range));
+    // Built as `MapService` builds its map: with change detection, whose
+    // changed keys the service drains at every publish for subscribers.
+    let builder = MapBuilder::new(RESOLUTION)
+        .max_range(Some(spec.max_range))
+        .change_detection(true);
     let mut fused = builder
         .build()
         .expect("the default map configuration is valid");
     for (i, scan) in spec.scans.iter().enumerate() {
         let r = tracer.span("map.insert", i as u64, None, |_| fused.insert(scan));
         checks.op("OccupancyMap::insert", r);
+        tracer.span("map.drain_changed", i as u64, None, |_| {
+            fused.drain_changed_keys()
+        });
     }
     let pool = fused.pool_stats().unwrap_or_default();
     layers.insert("pool.tasks_dispatched", pool.tasks_dispatched as f64);
@@ -163,7 +193,7 @@ pub fn replay(
     tree
 }
 
-/// Byte and call counts of a [`CountingDir`].
+/// Byte and call counts of an [`UnflushedDir`].
 #[derive(Debug, Default)]
 pub struct StoreCounts {
     pub append_bytes: AtomicU64,
@@ -181,27 +211,39 @@ impl StoreCounts {
     }
 }
 
-/// A [`RealDir`] that counts the bytes the durability layer writes
-/// through it (used by the traced run only).
+/// A directory store that writes the files [`RealDir`] writes, the same
+/// way (checkpoints to a temporary name, then renamed into place), but
+/// leaves out the device flushes (`fsync`), and counts every byte.
+///
+/// The end-to-end runs keep the durable write path — WAL framing, the
+/// group-commit thread, checkpoint serialization and file writes — but
+/// not the disk's flush latency, which on a shared disk varied tenfold
+/// from one run to the next. The traced replay measures that flush
+/// separately (`durable.append_sync_us`, through a plain `RealDir`).
 #[derive(Debug)]
-pub struct CountingDir {
+pub struct UnflushedDir {
+    root: PathBuf,
     inner: RealDir,
     counts: Arc<StoreCounts>,
 }
 
-impl CountingDir {
-    pub fn new(inner: RealDir, counts: Arc<StoreCounts>) -> Self {
-        CountingDir { inner, counts }
+impl UnflushedDir {
+    pub fn create(root: &Path, counts: Arc<StoreCounts>) -> io::Result<Self> {
+        Ok(UnflushedDir {
+            root: root.to_owned(),
+            inner: RealDir::create(root)?,
+            counts,
+        })
     }
 }
 
-struct CountingFile {
+struct UnflushedFile {
     inner: Box<dyn DurableFile>,
     counts: Arc<StoreCounts>,
 }
 
 // Relaxed throughout: the counters are statistics and publish no data.
-impl DurableFile for CountingFile {
+impl DurableFile for UnflushedFile {
     fn append(&mut self, data: &[u8]) -> io::Result<()> {
         self.counts
             .append_bytes
@@ -210,21 +252,24 @@ impl DurableFile for CountingFile {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        self.inner.sync()
+        Ok(())
     }
 }
 
-impl DurableDir for CountingDir {
+impl DurableDir for UnflushedDir {
     fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
         self.counts.atomic_writes.fetch_add(1, Ordering::Relaxed);
         self.counts
             .atomic_bytes
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        self.inner.write_atomic(name, bytes)
+        // Recovery ignores names with this prefix (`RealDir`'s own).
+        let tmp = self.root.join(format!(".tmp-{name}"));
+        std::fs::write(&tmp, bytes)?;
+        std::fs::rename(&tmp, self.root.join(name))
     }
 
     fn open_append(&self, name: &str) -> io::Result<Box<dyn DurableFile>> {
-        Ok(Box::new(CountingFile {
+        Ok(Box::new(UnflushedFile {
             inner: self.inner.open_append(name)?,
             counts: Arc::clone(&self.counts),
         }))
@@ -244,7 +289,7 @@ impl DurableDir for CountingDir {
 }
 
 /// Total size of the WAL segments in `dir`, in bytes.
-pub fn wal_bytes_on_disk(dir: &std::path::Path) -> u64 {
+pub fn wal_bytes_on_disk(dir: &Path) -> u64 {
     std::fs::read_dir(dir)
         .map(|entries| {
             entries
@@ -255,4 +300,25 @@ pub fn wal_bytes_on_disk(dir: &std::path::Path) -> u64 {
                 .sum()
         })
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn leaf_digest_sees_every_field() {
+        let leaf = (VoxelKey::new(1, 2, 3), 16, 0.5f32);
+        let base = leaf_digest(&[leaf]);
+        assert_eq!(base, leaf_digest(&[leaf]));
+        for changed in [
+            (VoxelKey::new(1, 2, 4), 16, 0.5),
+            (leaf.0, 15, 0.5),
+            (leaf.0, 16, f32::from_bits(0.5f32.to_bits() + 1)),
+        ] {
+            assert_ne!(base, leaf_digest(&[changed]), "{changed:?}");
+        }
+        assert_ne!(base, leaf_digest(&[leaf, leaf]));
+        assert_ne!(base, leaf_digest(&[]));
+    }
 }

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use harness::{peak_rss_mb, Checks, Ctx, Layers, Live, Workload};
+use harness::{Checks, Ctx, Layers, Live, Workload};
 use trace::{summarize, SpanSummary, Tracer};
 
 const WORKLOADS: [&str; 4] = [
@@ -51,7 +51,7 @@ const END_TO_END: [(&str, &str); 5] = [
 
 /// Per-layer metrics: `(name, unit)`. A layer a workload does not
 /// exercise reports 0.
-const PER_LAYER: [(&str, &str); 47] = [
+const PER_LAYER: [(&str, &str); 48] = [
     ("map.ingest_us", "us"),
     ("map.flush_wait_us", "us"),
     ("map.snapshot_us", "us"),
@@ -59,6 +59,7 @@ const PER_LAYER: [(&str, &str); 47] = [
     ("map.lagged", "count"),
     ("map.scans_per_publish", "count"),
     ("map.insert_us", "us"),
+    ("map.drain_changed_us", "us"),
     ("map.queue_wait_us", "us"),
     ("raycast.integrate_s", "s"),
     ("raycast.updates", "count"),
@@ -255,8 +256,14 @@ fn main() -> ExitCode {
 fn end_to_end(live: &Live) -> Vec<(&'static str, f64, &'static str)> {
     let s = live.summary();
     println!("latency_ms_*, throughput_per_s: {}", s.describe());
-    println!("setup_s: median of {} set-ups", live.rounds.len());
-    let values = [s.p50, s.tail, s.throughput, live.setup_s(), peak_rss_mb()];
+    println!("setup_s: median of {} set-ups", live.setups().len());
+    let values = [
+        s.p50,
+        s.tail,
+        s.throughput,
+        live.setup_s(),
+        live.peak_rss_mb,
+    ];
     END_TO_END
         .iter()
         .zip(values)
@@ -274,6 +281,7 @@ fn derive_layers(spans: &BTreeMap<&'static str, SpanSummary>, layers: &mut Layer
         ("map.snapshot_us", "map.snapshot"),
         ("map.poll_us", "map.poll"),
         ("map.insert_us", "map.insert"),
+        ("map.drain_changed_us", "map.drain_changed"),
         ("octree.publish_us", "octree.publish"),
         ("query.occupancy_batch_us", "query.occupancy_batch"),
         ("query.cast_rays_us", "query.cast_rays"),
@@ -297,12 +305,15 @@ fn derive_layers(spans: &BTreeMap<&'static str, SpanSummary>, layers: &mut Layer
         get("octree.from_bytes").total_s() * 1e3,
     );
     // Time an acknowledged scan waited on the handoff: the flush wait
-    // minus the work the writer did for it (measured in the replay).
+    // minus the work done for it (measured in the replay). The service
+    // appends and syncs the WAL record on its durable thread while the
+    // writer applies the scan, so the work is the longer of the two.
     let flush = get("map.flush");
     if flush.count > 0 {
-        let work = get("map.insert").mean_us()
-            + get("octree.publish").mean_us()
-            + get("durable.append_sync").mean_us();
+        let apply = get("map.insert").mean_us()
+            + get("map.drain_changed").mean_us()
+            + get("octree.publish").mean_us();
+        let work = apply.max(get("durable.append_sync").mean_us());
         layers.insert("map.queue_wait_us", flush.mean_us() - work);
     }
 }
@@ -319,7 +330,7 @@ fn report_named(live: &Live) {
         "setup_s",
         live.setup_s(),
         "s",
-        live.rounds.len()
+        live.setups().len()
     );
 }
 
